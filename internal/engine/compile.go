@@ -202,6 +202,11 @@ func collectPlanVars(n algebra.Node, c *compiled) {
 // variables guaranteed bound by the surrounding context (used by the
 // optimizer).
 func (c *compiled) build(n algebra.Node, outer []string) (subplan, error) {
+	if p, ok := n.(*algebra.ProjectNode); ok {
+		// Projection needs no operator: rows leave the engine through
+		// projSlots, and DISTINCT keys on the projected slots itself.
+		return c.build(p.Input, outer)
+	}
 	sp, err := c.buildNode(n, outer)
 	if err != nil || c.trace == nil {
 		return sp, err
@@ -245,24 +250,12 @@ func (c *compiled) buildNode(n algebra.Node, outer []string) (subplan, error) {
 			return nil, err
 		}
 		return &filterIter{c: c, input: input, cond: node.Cond}, nil
-	case *algebra.ProjectNode:
-		input, err := c.build(node.Input, outer)
-		if err != nil {
-			return nil, err
-		}
-		keep := make([]bool, len(c.names))
-		for _, v := range node.Columns {
-			if s, ok := c.slots[v]; ok {
-				keep[s] = true
-			}
-		}
-		return &projectIter{input: input, keep: keep}, nil
 	case *algebra.DistinctNode:
 		input, err := c.build(node.Input, outer)
 		if err != nil {
 			return nil, err
 		}
-		return &distinctIter{c: c, input: input}, nil
+		return &distinctIter{c: c, input: input, seen: rowSet{slots: c.distinctSlots(node.Input)}}, nil
 	case *algebra.OrderNode:
 		input, err := c.build(node.Input, outer)
 		if err != nil {

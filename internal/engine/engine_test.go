@@ -447,6 +447,53 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
+// TestDistinctIsTermIdentity pins DISTINCT to term identity (sameTerm):
+// "1" and "01" as xsd:integer are equal values but distinct terms, so
+// they stay two rows. Keying DISTINCT on values would merge them.
+func TestDistinctIsTermIdentity(t *testing.T) {
+	s := store.New()
+	one, zeroOne := rdf.Integer(1), rdf.TypedLiteral("01", rdf.XSDInteger)
+	for i, v := range []rdf.Term{one, zeroOne, one, zeroOne, one} {
+		a := rdf.IRI(fmt.Sprintf("http://x/a%d", i))
+		s.Add(rdf.NewTriple(a, rdf.IRI(rdf.RDFType), rdf.IRI("http://x/T")))
+		s.Add(rdf.NewTriple(a, rdf.IRI("http://x/v"), v))
+		s.Add(rdf.NewTriple(a, rdf.IRI("http://x/w"), v))
+	}
+	s.Freeze()
+	for _, src := range []string{
+		`SELECT DISTINCT ?v WHERE { ?a rdf:type <http://x/T> . ?a <http://x/v> ?v }`,
+		`SELECT DISTINCT ?v ?w WHERE { ?a rdf:type <http://x/T> . ?a <http://x/v> ?v . ?a <http://x/w> ?w }`,
+	} {
+		q, err := sparql.Parse(src, rdf.Prefixes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range append(allConfigs(), engine.Mem(), engine.Native()) {
+			res, err := engine.New(s, opts).Query(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%s: %v", opts.Name, err)
+			}
+			if res.Len() != 2 {
+				t.Fatalf("%s: %s\ngot %d rows, want 2: %v", opts.Name, src, res.Len(), render(res))
+			}
+		}
+	}
+}
+
+// TestDistinctStarWideKey runs SELECT DISTINCT * over four variables,
+// a key too wide to pack: UNION of a group with itself yields every
+// solution twice, and DISTINCT must halve the count. The groups have
+// two patterns each so native-vec runs the batch DISTINCT.
+func TestDistinctStarWideKey(t *testing.T) {
+	s := tinyLibrary()
+	group := `{ ?a rdf:type ?t . ?a ?p ?o }`
+	all := runAll(t, s, `SELECT * WHERE `+group)
+	res := runAll(t, s, `SELECT DISTINCT * WHERE { `+group+` UNION `+group+` }`)
+	if res.Len() != all.Len() || !sameResults(all, res) {
+		t.Fatalf("DISTINCT * kept %d rows, want %d", res.Len(), all.Len())
+	}
+}
+
 func TestAsk(t *testing.T) {
 	s := tinyLibrary()
 	yes := runAll(t, s, `ASK { ?a rdf:type bench:Article }`)

@@ -1,9 +1,9 @@
 package engine_test
 
 // Cross-engine differential fuzzing: generate random graphs and random
-// BGP+FILTER/OPTIONAL/UNION/DISTINCT/LIMIT queries, then assert that the
-// mem, native, and native-vec engines return value-equal solution
-// multisets. The generators are deterministic functions of their seeds,
+// BGP+FILTER/OPTIONAL/UNION/DISTINCT/ORDER BY/LIMIT queries, then
+// assert that the mem, native, and native-vec engines return
+// value-equal solution multisets. The generators are deterministic functions of their seeds,
 // so every corpus entry and fuzzer crash reproduces exactly.
 //
 // TestDifferentialFuzzCorpus runs a bounded seeded corpus on every
@@ -114,9 +114,17 @@ func fuzzQuery(r *rand.Rand) string {
 	if r.Intn(3) == 0 {
 		distinct = "DISTINCT "
 	}
-	q := fmt.Sprintf("SELECT %s?v0 ?v1 ?v2 WHERE {\n%s}", distinct, b.String())
+	// Project one, two or three variables in random order, so DISTINCT
+	// runs with one-slot, two-slot and wide keys, with (a,b) and (b,a)
+	// orders, and — where OPTIONAL or an absent variable leaves every
+	// projected column unbound — with the all-unbound key.
+	var proj strings.Builder
+	for _, i := range r.Perm(3)[:1+r.Intn(3)] {
+		fmt.Fprintf(&proj, "?v%d ", i)
+	}
+	q := fmt.Sprintf("SELECT %s%sWHERE {\n%s}", distinct, proj.String(), b.String())
 	if r.Intn(4) == 0 {
-		fmt.Fprintf(&b, " ORDER BY ?v0 ?v1 ?v2")
+		q += " ORDER BY ?v0 ?v1 ?v2"
 	}
 	if r.Intn(4) == 0 {
 		q += fmt.Sprintf(" LIMIT %d", 1+r.Intn(6))

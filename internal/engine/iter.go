@@ -334,46 +334,17 @@ func (f *filterIter) next() ([]store.ID, bool, error) {
 	}
 }
 
-// projectIter zeroes the slots of non-projected variables so that
-// downstream DISTINCT compares only the projection.
-type projectIter struct {
-	input subplan
-	keep  []bool
-	buf   []store.ID
-}
-
-func (p *projectIter) open(parent []store.ID) { p.input.open(parent) }
-
-func (p *projectIter) next() ([]store.ID, bool, error) {
-	row, ok, err := p.input.next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	if cap(p.buf) < len(row) {
-		p.buf = make([]store.ID, len(row))
-	}
-	out := p.buf[:len(row)]
-	for i, v := range row {
-		if p.keep[i] {
-			out[i] = v
-		} else {
-			out[i] = store.NoID
-		}
-	}
-	return out, true, nil
-}
-
-// distinctIter suppresses duplicate rows using a byte-key hash set.
+// distinctIter suppresses duplicate rows through the shared rowSet
+// (distinct.go).
 type distinctIter struct {
 	c     *compiled
 	input subplan
-	seen  map[string]struct{}
-	key   []byte
+	seen  rowSet
 }
 
 func (d *distinctIter) open(parent []store.ID) {
 	d.input.open(parent)
-	d.seen = make(map[string]struct{})
+	d.seen.reset()
 }
 
 func (d *distinctIter) next() ([]store.ID, bool, error) {
@@ -385,17 +356,9 @@ func (d *distinctIter) next() ([]store.ID, bool, error) {
 		if err := d.c.cancel.check(); err != nil {
 			return nil, false, err
 		}
-		d.key = d.key[:0]
-		for _, v := range row {
-			d.key = append(d.key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+		if d.seen.addRow(row) {
+			return row, true, nil
 		}
-		// The indexed string(d.key) conversions compile to allocation-free
-		// map operations; only a genuinely new row allocates its key.
-		if _, dup := d.seen[string(d.key)]; dup {
-			continue
-		}
-		d.seen[string(d.key)] = struct{}{}
-		return row, true, nil
 	}
 }
 

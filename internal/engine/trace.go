@@ -42,7 +42,7 @@ type Trace struct {
 // TraceNode is one operator of the trace tree.
 type TraceNode struct {
 	// Op names the operator: bgp, join, leftjoin, union, filter,
-	// project, distinct, order, slice.
+	// distinct, order, slice.
 	Op string `json:"op"`
 	// Detail carries operator-specific plan notes.
 	Detail string `json:"detail,omitempty"`
@@ -189,9 +189,6 @@ func (tc *traceCollector) wrap(sp subplan) subplan {
 		n.children = childNodes(s.left, s.right)
 	case *filterIter:
 		n.op = "filter"
-		n.children = childNodes(s.input)
-	case *projectIter:
-		n.op = "project"
 		n.children = childNodes(s.input)
 	case *distinctIter:
 		n.op = "distinct"

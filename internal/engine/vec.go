@@ -123,24 +123,13 @@ func (c *compiled) buildVecNode(n algebra.Node) (vecOp, string) {
 		u := &vecUnion{left: l, right: r}
 		return c.vwrap(u, &tnode{op: "union", detail: "vectorized", children: childTNodes(l, r)}), ""
 	case *algebra.ProjectNode:
-		in, why := c.buildVecNode(node.Input)
-		if in == nil {
-			return nil, why
-		}
-		keep := make([]bool, len(c.names))
-		for _, v := range node.Columns {
-			if s, ok := c.slots[v]; ok {
-				keep[s] = true
-			}
-		}
-		p := &vecProject{input: in, keep: keep}
-		return c.vwrap(p, &tnode{op: "project", detail: "vectorized", children: childTNodes(in)}), ""
+		return c.buildVecNode(node.Input) // see build: no operator needed
 	case *algebra.DistinctNode:
 		in, why := c.buildVecNode(node.Input)
 		if in == nil {
 			return nil, why
 		}
-		d := &vecDistinct{c: c, input: in}
+		d := &vecDistinct{c: c, input: in, seen: rowSet{slots: c.distinctSlots(node.Input)}}
 		return c.vwrap(d, &tnode{op: "distinct", detail: "vectorized", children: childTNodes(in)}), ""
 	case *algebra.OrderNode:
 		in, why := c.buildVecNode(node.Input)
@@ -1305,47 +1294,19 @@ func (u *vecUnion) next() (*Batch, error) {
 	return u.right.next()
 }
 
-// vecProject zeroes non-projected columns in place so downstream
-// DISTINCT compares only the projection — column-at-a-time, against the
-// tuple path's per-row copy.
-type vecProject struct {
-	input vecOp
-	keep  []bool
-}
-
-func (p *vecProject) open() { p.input.open() }
-
-func (p *vecProject) next() (*Batch, error) {
-	b, err := p.input.next()
-	if b == nil || err != nil {
-		return nil, err
-	}
-	for s := range b.cols {
-		if p.keep[s] {
-			continue
-		}
-		col := b.cols[s][:b.n]
-		for i := range col {
-			col[i] = store.NoID
-		}
-	}
-	return b, nil
-}
-
-// vecDistinct suppresses duplicate rows with the tuple path's byte-key
-// set, marking first occurrences in the selection vector and compacting
-// in place.
+// vecDistinct suppresses duplicate rows through the shared rowSet
+// (distinct.go), marking first occurrences in the selection vector and
+// compacting in place.
 type vecDistinct struct {
 	c      *compiled
 	input  vecOp
-	seen   map[string]struct{}
-	key    []byte
+	seen   rowSet
 	selbuf []int32
 }
 
 func (d *vecDistinct) open() {
 	d.input.open()
-	d.seen = make(map[string]struct{})
+	d.seen.reset()
 }
 
 func (d *vecDistinct) next() (*Batch, error) {
@@ -1357,19 +1318,7 @@ func (d *vecDistinct) next() (*Batch, error) {
 		if err := d.c.cancel.check(); err != nil {
 			return nil, err
 		}
-		sel := emptySel(d.selbuf)
-		for r := 0; r < b.n; r++ {
-			d.key = d.key[:0]
-			for s := range b.cols {
-				v := b.cols[s][r]
-				d.key = append(d.key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-			}
-			if _, dup := d.seen[string(d.key)]; dup {
-				continue
-			}
-			d.seen[string(d.key)] = struct{}{}
-			sel = append(sel, int32(r))
-		}
+		sel := d.seen.keepNew(b.cols, b.n, emptySel(d.selbuf))
 		d.selbuf = sel
 		b.SetSel(sel)
 		b.Compact()
