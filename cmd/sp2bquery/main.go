@@ -95,7 +95,7 @@ func main() {
 	}
 	if *explain {
 		// The physical plan: BGP reorderings and the operator chosen per
-		// join step (scan/nl/merge/hash/hashseg, parallel partitions).
+		// join step (scan/nl/merge/hash/hashseg).
 		plan, err := db.Engine().Explain(parsed)
 		if err != nil {
 			fatal(err)

@@ -16,14 +16,12 @@
 // endpoint exactly as it benchmarks the built-in engines.
 //
 // The native engine evaluates joins through a statistics-driven
-// physical-operator layer (internal/engine join.go, parallel.go): per
-// join step the optimizer picks an index nested loop, a merge join over
-// two index ranges co-sorted on the shared variable, or a hash join
-// built on the smaller estimated side — including the hashed
-// uncorrelated block that turns Q5a's FILTER-mediated cross product
-// from quadratic to linear — and partitions the anchor pattern's range
-// across GOMAXPROCS workers with an order-preserving merge. Every
-// decision is visible: sp2bquery -explain prints it, and benchmark
+// physical-operator layer (internal/engine join.go): per join step the
+// optimizer picks an index nested loop, a merge join over two index
+// ranges co-sorted on the shared variable, or a hash join built on the
+// smaller estimated side — including the hashed uncorrelated block that
+// turns Q5a's FILTER-mediated cross product from quadratic to linear.
+// Each query runs on its caller's goroutine. Every decision is visible: sp2bquery -explain prints it, and benchmark
 // reports record it per measured cell.
 //
 // Cold starts are a first-class concern at benchmark scales:

@@ -234,9 +234,9 @@ func (b *bgpIter) stepFiltersPass(d int) bool {
 // the given filter conjuncts (nil when the BGP has no governing FILTER).
 func (c *compiled) buildBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr, outer []string) (subplan, error) {
 	b, ordered := c.prepareBGP(patterns, conjuncts, outer)
-	// The physical-operator layer upgrades join steps (merge/hash joins,
-	// parallel partitioned scan) when the engine options enable it; the
-	// backtracker above stays the fallback.
+	// The physical-operator layer upgrades join steps (merge/hash joins)
+	// when the engine options enable it; the backtracker above stays the
+	// fallback.
 	if phys := c.planBGP(b, ordered, outer); phys != nil {
 		return phys, nil
 	}

@@ -29,43 +29,24 @@ type compiled struct {
 	// trace is the EXPLAIN ANALYZE collector; nil unless the query runs
 	// under WithAnalyze (see trace.go).
 	trace *traceCollector
-	// cleanups release resources held by operators that outlive a single
-	// next() call — parallel BGP workers register their shutdown here.
-	// The evaluation entry points run them when the query ends, whether
-	// it ran to exhaustion or stopped early (ASK, LIMIT).
-	cleanups []func()
 }
 
 func (c *compiled) close() {
-	for _, f := range c.cleanups {
-		f()
-	}
 	if c.trace != nil {
 		c.trace.deliver()
 	}
 }
 
-// canceller amortizes context checks over many iterator steps. A non-nil
-// stop channel additionally cancels when closed — parallel BGP workers
-// use it so an abandoned query stops them even under a background
-// context.
+// canceller amortizes context checks over many iterator steps.
 type canceller struct {
-	ctx  context.Context
-	stop <-chan struct{}
-	n    uint32
+	ctx context.Context
+	n   uint32
 }
 
 func (c *canceller) check() error {
 	c.n++
 	if c.n&1023 != 0 {
 		return nil
-	}
-	if c.stop != nil {
-		select {
-		case <-c.stop:
-			return fmt.Errorf("%w: query abandoned", ErrCancelled)
-		default:
-		}
 	}
 	return ctxErr(c.ctx)
 }

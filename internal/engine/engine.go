@@ -55,14 +55,6 @@ type Options struct {
 	// co-sorted on the shared variable (the RDF-3X fast path over the
 	// store's SPO/POS/OSP permutations).
 	MergeJoins bool
-	// Parallel partitions the first pattern's index range of top-level
-	// BGPs across GOMAXPROCS workers, each running the full join pipeline
-	// on its slice, with an order-preserving result merge.
-	Parallel bool
-	// ParallelWorkers overrides the worker count used when Parallel is
-	// set; 0 means GOMAXPROCS. Tests use it to force multi-worker plans
-	// on single-core machines.
-	ParallelWorkers int
 	// Vectorized routes covered SELECT queries through the
 	// batch-at-a-time executor (vec.go): columnar Batch slabs of
 	// dictionary IDs instead of tuple-at-a-time iterators, with
@@ -89,13 +81,12 @@ func Native() Options {
 		HashLeftJoins:   true,
 		HashJoins:       true,
 		MergeJoins:      true,
-		Parallel:        true,
 	}
 }
 
 // NativeVec returns the native configuration with the vectorized
 // batch executor on top: covered queries run batch-at-a-time, the rest
-// keep the full tuple-path optimizations (including parallel scans).
+// keep the full tuple-path optimizations.
 func NativeVec() Options {
 	o := Native()
 	o.Name = "native-vec"

@@ -10,8 +10,7 @@ package engine
 //   - hash joins that build on the smaller estimated side, both for
 //     ordinary shared-variable steps and for disconnected trailing blocks
 //     linked only by an equality FILTER (the Q4/Q5a shape, where a
-//     nested loop is quadratic), and
-//   - a partitioned parallel scan of the first pattern (parallel.go).
+//     nested loop is quadratic).
 //
 // Every choice is recorded in the compiled plan's notes, surfaced by
 // Engine.Explain, sp2bquery -explain, and the harness JSON report.
@@ -21,7 +20,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"sp2bench/internal/algebra"
 	"sp2bench/internal/rdf"
@@ -38,16 +36,13 @@ const (
 	// block the planner is willing to materialize as a cached cross
 	// product instead of re-deriving it per left row.
 	crossCacheCap = 1 << 20
-	// parallelMinRows is the smallest first-pattern range worth
-	// partitioning across workers.
-	parallelMinRows = 2048
 )
 
 // opKind is the physical operator evaluating one depth of a BGP plan.
 type opKind uint8
 
 const (
-	opScan    opKind = iota // depth 0: index range scan (possibly partitioned)
+	opScan    opKind = iota // depth 0: index range scan
 	opNL                    // index nested-loop probe (the fallback)
 	opMerge                 // merge join against a co-sorted index range
 	opHash                  // hash probe into the pattern's matching triples
@@ -74,7 +69,7 @@ type physStep struct {
 	kind opKind
 	step patternStep // pattern + pushed filters (unused by opHashSeg)
 
-	// opScan: the constant-prefix range (partitioned for parallel runs).
+	// opScan: the constant-prefix range.
 	// opMerge: the range co-sorted on the join variable.
 	// opHash: the constant-prefix range the build scans once.
 	rng store.IndexRange
@@ -231,49 +226,48 @@ func (t *idTable[V]) get(k store.ID) V {
 }
 
 // bgpPlan is the physical form of one BGP: ordered depths with chosen
-// operators plus the lazily-built shared state (hash tables, materialized
-// blocks) that parallel workers reuse.
+// operators plus the lazily-built state (hash tables, materialized
+// blocks) that outlives re-opens of the plan.
 type bgpPlan struct {
-	c     *compiled
-	steps []physStep
-	// parts partitions steps[0].rng; len(parts) > 1 means the BGP runs
-	// under the parallel executor.
-	parts  []store.IndexRange
+	c      *compiled
+	steps  []physStep
 	shared *physShared
 	// tsteps are the per-depth EXPLAIN ANALYZE counters, aligned with
-	// steps and shared across parallel workers (nil unless the query
-	// runs under WithAnalyze); test is the cumulative cardinality
-	// estimate for the whole BGP.
+	// steps (nil unless the query runs under WithAnalyze); test is the
+	// cumulative cardinality estimate for the whole BGP.
 	tsteps []*tstep
 	test   float64
 }
 
-// physShared holds per-depth build products constructed once per query
-// and shared read-only across parallel workers. Builds go through
-// sync.Once so the per-row probe path pays only its atomic fast path.
+// physShared holds per-depth build products constructed at most once
+// per query, on the first probe that needs them.
 type physShared struct {
-	once []sync.Once
-	err  []error
-	hash []*idTable[[]store.EncTriple] // opHash tables
-	seg  []map[string][][]store.ID     // opHashSeg keyed tables (segKey buckets)
-	rows [][][]store.ID                // opHashSeg keyless row lists
+	built []bool
+	hash  []*idTable[[]store.EncTriple] // opHash tables
+	seg   []map[string][][]store.ID     // opHashSeg keyed tables (segKey buckets)
+	rows  [][][]store.ID                // opHashSeg keyless row lists
 }
 
 func newPhysShared(n int) *physShared {
 	return &physShared{
-		once: make([]sync.Once, n),
-		err:  make([]error, n),
-		hash: make([]*idTable[[]store.EncTriple], n),
-		seg:  make([]map[string][][]store.ID, n),
-		rows: make([][][]store.ID, n),
+		built: make([]bool, n),
+		hash:  make([]*idTable[[]store.EncTriple], n),
+		seg:   make([]map[string][][]store.ID, n),
+		rows:  make([][][]store.ID, n),
 	}
 }
 
-// build runs f for depth d exactly once across all workers; later callers
-// observe the first call's error.
+// build runs f for depth d until it first succeeds; a failed build
+// fails the query, so it is never retried in practice.
 func (sh *physShared) build(d int, f func() error) error {
-	sh.once[d].Do(func() { sh.err[d] = f() })
-	return sh.err[d]
+	if sh.built[d] {
+		return nil
+	}
+	if err := f(); err != nil {
+		return err
+	}
+	sh.built[d] = true
+	return nil
 }
 
 // ordPos maps an index order's component position to the SPO position it
@@ -291,7 +285,7 @@ var ordPos = [3][3]int{
 // empty BGPs, or plans where no step earns a better operator.
 func (c *compiled) planBGP(b *bgpIter, ordered []sparql.TriplePattern, outer []string) subplan {
 	opts := c.eng.opts
-	if !opts.UseIndexes || (!opts.HashJoins && !opts.MergeJoins && !opts.Parallel) {
+	if !opts.UseIndexes || (!opts.HashJoins && !opts.MergeJoins) {
 		return nil
 	}
 	if len(outer) > 0 || len(b.steps) == 0 || b.empty || len(ordered) != len(b.steps) {
@@ -389,20 +383,7 @@ func (c *compiled) planBGP(b *bgpIter, ordered []sparql.TriplePattern, outer []s
 		i++
 	}
 
-	// Partition the first pattern's range for the parallel executor when
-	// the plan touches enough rows to pay for workers. Partition clamps
-	// to the range's row count, so a one-row scan stays sequential no
-	// matter how large the downstream ranges are.
-	touched := 0
-	for _, ps := range plan.steps {
-		touched += len(ps.rng.Rows)
-	}
-	parts := 1
-	if workers := c.eng.parallelWorkers(); workers > 1 && touched >= parallelMinRows {
-		parts = workers
-	}
-	plan.parts = plan.steps[0].rng.Partition(parts)
-	if !interesting && len(plan.parts) == 1 {
+	if !interesting {
 		return nil // plain nested loop: keep the proven backtracker
 	}
 	for i := range plan.steps {
@@ -416,12 +397,7 @@ func (c *compiled) planBGP(b *bgpIter, ordered []sparql.TriplePattern, outer []s
 	plan.shared = newPhysShared(len(plan.steps))
 	plan.test = leftCard
 	c.notes = append(c.notes, plan.describe())
-	if len(plan.parts) > 1 {
-		pb := &parallelBGP{plan: plan}
-		c.cleanups = append(c.cleanups, pb.shutdown)
-		return pb
-	}
-	return &physIter{plan: plan, part: plan.parts[0], cancel: c.cancel}
+	return &physIter{plan: plan}
 }
 
 // segDesc renders a disconnected block for the trace: its hash key (or
@@ -459,9 +435,6 @@ func (p *bgpPlan) describe() string {
 				fmt.Fprintf(&b, "[cross steps=%d]", len(ps.seg.steps))
 			}
 		}
-	}
-	if len(p.parts) > 1 {
-		fmt.Fprintf(&b, " parallel=%d", len(p.parts))
 	}
 	return b.String()
 }
@@ -670,15 +643,11 @@ func segEquiKey(e sparql.Expr, bound, segVars map[string]bool) (leftVar, segVar 
 	}
 }
 
-// physIter evaluates a physical BGP plan over one partition of the first
-// pattern's range by backtracking, like bgpIter, but with a per-depth
-// operator. Parallel runs instantiate one physIter per partition; the
-// plan and its shared build products are read-only across workers, all
-// mutable state lives here.
+// physIter evaluates a physical BGP plan by backtracking, like bgpIter,
+// but with a per-depth operator. The plan holds the lazily-built
+// products; the cursors live here.
 type physIter struct {
-	plan   *bgpPlan
-	part   store.IndexRange
-	cancel *canceller
+	plan *bgpPlan
 
 	cur       []store.ID
 	state     []physCursor
@@ -745,7 +714,7 @@ func (b *physIter) next() ([]store.ID, bool, error) {
 	}
 	last := len(b.plan.steps) - 1
 	for d >= 0 {
-		if err := b.cancel.check(); err != nil {
+		if err := b.plan.c.cancel.check(); err != nil {
 			return nil, false, err
 		}
 		b.clearBound(d)
@@ -796,7 +765,7 @@ func (b *physIter) initCursor(d int) error {
 	st := &b.state[d]
 	switch ps.kind {
 	case opScan:
-		st.rows, st.filt, st.ord = b.part.Rows, b.part.Filt, b.part.Ord
+		st.rows, st.filt, st.ord = ps.rng.Rows, ps.rng.Filt, ps.rng.Ord
 		st.pos = 0
 	case opNL:
 		var want store.EncTriple
@@ -972,7 +941,7 @@ func (b *physIter) buildHash(d int, ps *physStep) error {
 			cell := table.at(t[ps.keyPos])
 			*cell = append(*cell, t)
 			if n++; n&1023 == 0 {
-				if err := b.cancel.check(); err != nil {
+				if err := b.plan.c.cancel.check(); err != nil {
 					return err
 				}
 			}
@@ -991,13 +960,12 @@ func (b *physIter) buildHash(d int, ps *physStep) error {
 // the build key when one exists.
 func (b *physIter) buildSeg(d int, ps *physStep) error {
 	return b.plan.shared.build(d, func() error {
-		cc := *b.plan.c
-		cc.cancel = b.cancel
-		inner := &bgpIter{c: &cc, steps: ps.seg.steps}
-		inner.open(make([]store.ID, len(cc.names)))
+		c := b.plan.c
+		inner := &bgpIter{c: c, steps: ps.seg.steps}
+		inner.open(make([]store.ID, len(c.names)))
 		var rows [][]store.ID
 		table := map[string][][]store.ID{}
-		dict := b.plan.c.eng.src.TermDict()
+		dict := c.eng.src.TermDict()
 		built := 0
 		for {
 			row, ok, err := inner.next()

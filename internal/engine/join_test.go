@@ -3,7 +3,7 @@ package engine_test
 // Tests for the physical-operator layer: golden operator-choice plans on
 // a 50k generated document, result agreement across every operator
 // configuration on all 17 benchmark queries, and race/leak coverage for
-// the parallel partitioned scan.
+// concurrent and early-exiting queries.
 
 import (
 	"context"
@@ -21,23 +21,16 @@ import (
 )
 
 // operatorAblations enumerates the nested-loop-only reference plus every
-// single-operator ablation and the full configuration. ParallelWorkers
-// is forced so the partitioned executor runs even on single-core
-// machines.
+// single-operator ablation and the full configuration.
 func operatorAblations() []engine.Options {
 	nlj := engine.Native()
 	nlj.Name = "native-nlj"
-	nlj.HashJoins, nlj.MergeJoins, nlj.Parallel = false, false, false
+	nlj.HashJoins, nlj.MergeJoins = false, false
 
 	noHash := engine.Native()
 	noHash.Name, noHash.HashJoins = "native-nohashjoin", false
 	noMerge := engine.Native()
 	noMerge.Name, noMerge.MergeJoins = "native-nomergejoin", false
-	noPar := engine.Native()
-	noPar.Name, noPar.Parallel = "native-noparallel", false
-
-	par4 := engine.Native()
-	par4.Name, par4.ParallelWorkers = "native-parallel4", 4
 
 	vec := engine.NativeVec()
 	vecNoHash := engine.NativeVec()
@@ -49,7 +42,7 @@ func operatorAblations() []engine.Options {
 	vecTiny := engine.NativeVec()
 	vecTiny.Name, vecTiny.BatchSize = "native-vec-batch3", 3
 
-	return []engine.Options{nlj, engine.Native(), noHash, noMerge, noPar, par4,
+	return []engine.Options{nlj, engine.Native(), noHash, noMerge,
 		vec, vecNoHash, vecNoMerge, vecTiny}
 }
 
@@ -64,25 +57,23 @@ func TestGoldenPlans50k(t *testing.T) {
 		t.Skip("50k document generation in -short mode")
 	}
 	s, _ := generatedStore(t, 50_000)
-	opts := engine.Native()
-	opts.ParallelWorkers = 4
-	eng := engine.New(s, opts)
+	eng := engine.New(s, engine.Native())
 
 	golden := map[string][]string{
 		"q2": {
 			"bgp operators: scan[POS rows=274 sorted=?inproc]" +
-				strings.Repeat(" merge[?inproc SPO rows=50004]", 8) + " parallel=4",
+				strings.Repeat(" merge[?inproc SPO rows=50004]", 8),
 		},
 		"q4": {
 			"bgp operators: scan[POS rows=2407 sorted=?name1] nl" +
 				" hash[?article1 build=4241] hash[?article1 build=4239]" +
 				" hash[?journal build=4239] hash[?article2 build=4241]" +
-				" hash[?article2 build=6830] hash[?author2 build=2407] parallel=4",
+				" hash[?article2 build=6830] hash[?author2 build=2407]",
 		},
 		"q5a": {
 			"bgp blocks swapped: probe est 6.83e+03 streams, build est 419 trails",
 			"bgp operators: scan[POS rows=2407 sorted=?name] nl" +
-				" hash[?article build=4241] hashseg[key=?name/?name2 steps=3] parallel=4",
+				" hash[?article build=4241] hashseg[key=?name/?name2 steps=3]",
 		},
 		"q8": {
 			"bgp operators: scan[POS rows=1 sorted=?erdoes] merge[?erdoes POS rows=2407]",
@@ -106,10 +97,10 @@ func TestGoldenPlans50k(t *testing.T) {
 }
 
 // TestOperatorChoicesAgreeOn17Queries is the physical-layer soundness
-// check the acceptance criteria require: every operator configuration —
-// nested-loop only, each operator disabled in turn, everything on, and
-// forced four-way parallelism — returns exactly the same solutions for
-// all 17 benchmark queries on a generated document.
+// check: every operator configuration — nested-loop only, each operator
+// disabled in turn, everything on, and the vectorized variants — returns
+// exactly the same solutions for all 17 benchmark queries on a generated
+// document.
 func TestOperatorChoicesAgreeOn17Queries(t *testing.T) {
 	size := int64(10_000)
 	if testing.Short() {
@@ -134,14 +125,12 @@ func TestOperatorChoicesAgreeOn17Queries(t *testing.T) {
 	}
 }
 
-// TestParallelPartitionedScanRace drives the partitioned parallel
-// executor hard under the race detector: concurrent queries over one
-// shared store, each split across four forced workers.
-func TestParallelPartitionedScanRace(t *testing.T) {
+// TestConcurrentQueriesOneEngineRace runs the join-heavy queries from
+// several goroutines over one shared engine under the race detector:
+// everything a compiled query mutates must be private to it.
+func TestConcurrentQueriesOneEngineRace(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
-	opts := engine.Native()
-	opts.ParallelWorkers = 4
-	eng := engine.New(s, opts)
+	eng := engine.New(s, engine.Native())
 
 	ids := []string{"q2", "q3a", "q4", "q5a", "q9"}
 	want := map[string]int{}
@@ -180,15 +169,12 @@ func TestParallelPartitionedScanRace(t *testing.T) {
 	}
 }
 
-// TestParallelEarlyExitStopsWorkers: ASK and LIMIT abandon the parallel
-// scan after the first rows; the workers must terminate rather than leak
-// — even under a background context, where only the stop channel can
-// reach them.
+// TestParallelEarlyExitStopsWorkers: ASK and LIMIT abandon their
+// operators after the first rows, under a background context that never
+// cancels; the queries must leave no goroutine behind.
 func TestParallelEarlyExitStopsWorkers(t *testing.T) {
 	s, _ := generatedStore(t, 10_000)
-	opts := engine.Native()
-	opts.ParallelWorkers = 4
-	eng := engine.New(s, opts)
+	eng := engine.New(s, engine.Native())
 
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
@@ -203,8 +189,8 @@ func TestParallelEarlyExitStopsWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// shutdown joins the workers before Query returns; the tolerant loop
-	// only absorbs unrelated runtime goroutines winding down.
+	// The tolerant loop only absorbs unrelated runtime goroutines
+	// winding down.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if g := runtime.NumGoroutine(); g <= before+4 {
@@ -247,29 +233,6 @@ func TestHashSegmentValueEquality(t *testing.T) {
 		if len(rows) != 1 || !strings.Contains(rows[0], "urn:a") || !strings.Contains(rows[0], "urn:b") {
 			t.Errorf("%s: got %v, want the single value-equal pair (urn:a, urn:b)", opts.Name, rows)
 		}
-	}
-}
-
-// TestParallelWorkersJoinBeforeQueryReturns: when a query returns, its
-// parallel workers must already have terminated — callers like the
-// mixed-update workload re-freeze the store in place right after the
-// read lock drops, and a straggling worker still reading the old index
-// arrays would race with the rebuild. The update below makes the race
-// detector prove the join.
-func TestParallelWorkersJoinBeforeQueryReturns(t *testing.T) {
-	s, _ := generatedStore(t, 10_000)
-	opts := engine.Native()
-	opts.ParallelWorkers = 4
-	ask, _ := queries.ByID("q12a")
-	parsed := ask.Parse()
-	for i := 0; i < 5; i++ {
-		eng := engine.New(s, opts)
-		if _, err := eng.Query(context.Background(), parsed); err != nil { // ASK: early exit
-			t.Fatal(err)
-		}
-		s.UpdateTriples([]rdf.Triple{rdf.NewTriple(
-			rdf.IRI(fmt.Sprintf("urn:upd%d", i)), rdf.IRI("urn:p"), rdf.Integer(i),
-		)})
 	}
 }
 

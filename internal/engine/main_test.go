@@ -7,8 +7,7 @@ import (
 )
 
 // TestMain backstops the whole suite with a goroutine-leak check: the
-// parallel BGP workers and cancellation paths exercised here all spawn
-// goroutines, and every one must be joined by the time the last test
-// finishes. See internal/testutil and the goroutinecleanup analyzer —
+// concurrent-query and cancellation tests here spawn goroutines, and
+// every one must be joined by the time the last test finishes. See internal/testutil and the goroutinecleanup analyzer —
 // the analyzer proves a join path exists, this proves it runs.
 func TestMain(m *testing.M) { testutil.VerifyNoLeaks(m) }

@@ -56,9 +56,6 @@ type TraceNode struct {
 	Batches int64 `json:"batches,omitempty"`
 	// WallNS is inclusive wall time (children included).
 	WallNS int64 `json:"wall_ns"`
-	// Parallel is the worker fan-out of a partitioned BGP (0 = not
-	// parallel).
-	Parallel int `json:"parallel,omitempty"`
 	// Steps is the per-depth breakdown of a BGP operator.
 	Steps []TraceStep `json:"steps,omitempty"`
 	// Children are the operator's inputs.
@@ -103,13 +100,14 @@ func traceHandleFrom(ctx context.Context) *TraceHandle {
 	return h
 }
 
-// tnode is the mutable collector behind a TraceNode: counters are
-// atomics because parallel BGP workers feed one shared node.
+// tnode is the mutable collector behind a TraceNode. Every counter is
+// written on the query's goroutine. The counters are atomics because
+// atomic.Int64 is marked no-copy: go vet rejects copying a live node or
+// step, which would silently split its counts.
 type tnode struct {
 	op       string
 	detail   string
 	est      float64
-	parallel int
 	rows     atomic.Int64
 	batches  atomic.Int64
 	wall     atomic.Int64
@@ -170,11 +168,6 @@ func (tc *traceCollector) wrap(sp subplan) subplan {
 		n.op = "bgp"
 		n.steps = s.plan.tsteps
 		n.est = s.plan.test
-	case *parallelBGP:
-		n.op = "bgp"
-		n.steps = s.plan.tsteps
-		n.est = s.plan.test
-		n.parallel = len(s.plan.parts)
 	case *joinIter:
 		n.op = "join"
 		n.children = childNodes(s.left, s.right)
@@ -253,13 +246,12 @@ func (tc *traceCollector) snapshot() *Trace {
 
 func snapshotNode(n *tnode) *TraceNode {
 	out := &TraceNode{
-		Op:       n.op,
-		Detail:   n.detail,
-		EstRows:  n.est,
-		Rows:     n.rows.Load(),
-		Batches:  n.batches.Load(),
-		WallNS:   n.wall.Load(),
-		Parallel: n.parallel,
+		Op:      n.op,
+		Detail:  n.detail,
+		EstRows: n.est,
+		Rows:    n.rows.Load(),
+		Batches: n.batches.Load(),
+		WallNS:  n.wall.Load(),
 	}
 	for _, s := range n.steps {
 		out.Steps = append(out.Steps, TraceStep{
@@ -351,9 +343,6 @@ func (t *Trace) Render(w io.Writer) {
 			fmt.Fprintf(w, " batches=%d", n.Batches)
 		}
 		fmt.Fprintf(w, " wall=%v", time.Duration(n.WallNS).Round(time.Microsecond))
-		if n.Parallel > 1 {
-			fmt.Fprintf(w, " parallel=%d", n.Parallel)
-		}
 		fmt.Fprintln(w)
 		for i, s := range n.Steps {
 			fmt.Fprintf(w, "%s  step %d: %s", indent, i, s.Op)

@@ -83,8 +83,8 @@ func (e *engineExecutor) Prepare(q queries.Query) error {
 }
 
 // Explain reports the engine's physical plan for q: the BGP reorderings
-// and per-step operator choices (scan/nl/merge/hash/hashseg, parallel
-// partitions) the optimizer committed to.
+// and per-step operator choices (scan/nl/merge/hash/hashseg) the
+// optimizer committed to.
 func (e *engineExecutor) Explain(q queries.Query) (string, bool) {
 	if err := e.Prepare(q); err != nil {
 		return "", false

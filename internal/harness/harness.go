@@ -118,11 +118,9 @@ func AblationEngines() []EngineSpec {
 	noHashJoin.Name, noHashJoin.HashJoins = "native-nohashjoin", false
 	noMerge := full
 	noMerge.Name, noMerge.MergeJoins = "native-nomergejoin", false
-	noParallel := full
-	noParallel.Name, noParallel.Parallel = "native-noparallel", false
 	nlj := full
 	nlj.Name = "native-nlj"
-	nlj.HashJoins, nlj.MergeJoins, nlj.Parallel = false, false, false
+	nlj.HashJoins, nlj.MergeJoins = false, false
 	return []EngineSpec{
 		{Name: "native", Opts: full},
 		{Name: "native-noreorder", Opts: noReorder},
@@ -131,7 +129,6 @@ func AblationEngines() []EngineSpec {
 		{Name: "native-noindex", Opts: noIndex},
 		{Name: "native-nohashjoin", Opts: noHashJoin},
 		{Name: "native-nomergejoin", Opts: noMerge},
-		{Name: "native-noparallel", Opts: noParallel},
 		{Name: "native-nlj", Opts: nlj},
 	}
 }

@@ -292,8 +292,8 @@ func TestWriteFigureData(t *testing.T) {
 
 func TestAblationEngines(t *testing.T) {
 	engines := AblationEngines()
-	if len(engines) != 9 {
-		t.Fatalf("ablation set = %d engines, want 9 (4 logical + 4 physical ablations + nlj)", len(engines))
+	if len(engines) != 8 {
+		t.Fatalf("ablation set = %d engines, want 8 (full + 4 logical + 2 join-operator ablations + nlj)", len(engines))
 	}
 	seen := map[string]bool{}
 	for _, e := range engines {

@@ -9,8 +9,8 @@
 //   - goroutinecleanup: every `go` statement must have a reachable join
 //     — a WaitGroup/errgroup Wait in the spawning function, a channel
 //     the spawner receives from, or a WaitGroup-field shutdown method
-//     that is wired up elsewhere (the parallelBGP pattern). ASK/LIMIT
-//     early exits must never leak workers.
+//     that is wired up elsewhere (a spawn/shutdown split). Early exits
+//     must never leak workers.
 //   - lockdiscipline: store-mutating calls on shared stores may only
 //     appear in functions annotated `// sp2b:locks=write`; functions
 //     annotated `// sp2b:locks=read` must not mutate or write-lock.

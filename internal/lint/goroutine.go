@@ -14,8 +14,8 @@ import (
 //     (the done-channel join, e.g. core.GenerateStore), or
 //  3. tracks the goroutine in a WaitGroup *field* whose Wait lives in
 //     another method of the same type that is referenced somewhere in
-//     the package — the parallelBGP spawn/shutdown split, where the
-//     compiled plan registers shutdown as a cleanup.
+//     the package — a spawn/shutdown split, where the owner registers
+//     shutdown to run when its work ends.
 //
 // Anything else must carry `// sp2b:leaks=ok <why>` on or above the
 // `go` statement, which is a reviewed claim that the goroutine is

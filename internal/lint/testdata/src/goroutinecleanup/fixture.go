@@ -65,7 +65,7 @@ func joinedByRange() int {
 	return sum
 }
 
-// pool is the parallelBGP shape: spawn tracks goroutines in a WaitGroup
+// pool is the spawn/shutdown split: spawn tracks goroutines in a WaitGroup
 // field, a separate shutdown method Waits on it, and the package
 // references shutdown (registering it as a cleanup).
 type pool struct {

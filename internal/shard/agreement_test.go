@@ -23,19 +23,7 @@ func TestSeventeenQueryAgreementOverShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k document generation in -short mode")
 	}
-	var buf bytes.Buffer
-	g, err := gen.New(gen.DefaultParams(10_000), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Generate(); err != nil {
-		t.Fatal(err)
-	}
-	st := store.New()
-	if _, err := st.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-
+	st := generatedStore(t, 10_000)
 	set, _, err := shard.Split(st, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +68,25 @@ func TestSeventeenQueryAgreementOverShards(t *testing.T) {
 			}
 		}
 	}
+}
+
+// generatedStore loads a generated SP2Bench document of about the given
+// number of triples into a frozen store.
+func generatedStore(t *testing.T, triples int64) *store.Store {
+	t.Helper()
+	var buf bytes.Buffer
+	g, err := gen.New(gen.DefaultParams(triples), &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Generate(); err != nil {
+		t.Fatal(err)
+	}
+	st := store.New()
+	if _, err := st.Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // renderRows stringifies a result's solutions, sorted, so multisets

@@ -2,13 +2,16 @@ package shard_test
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sp2bench/internal/engine"
+	"sp2bench/internal/queries"
 	"sp2bench/internal/rdf"
 	"sp2bench/internal/server"
 	"sp2bench/internal/shard"
@@ -138,5 +141,108 @@ func TestRemoteFaultAnswers502(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("routable query after shard death answered %d, want 200", resp2.StatusCode)
+	}
+}
+
+// TestRemoteFaultInJoinAnswers502: a shard whose scans start failing
+// mid-deployment fails Q5a inside the join operators themselves — its
+// per-row nested-loop probes and its lazily built hashed block both
+// fetch ranges from the shards while the query runs. The fault must
+// come back as a 502 naming the shard, and the coordinator must keep
+// serving.
+//
+// Every shard scan a coordinator fetches is cached per reader, so the
+// faulty run uses a second coordinator reader whose only warm-up is
+// Explain: planning fetches (and caches) the plan's scan ranges and
+// takes counts, leaving the operators' probes as the first uncached
+// scans. The 20k document makes Q5a's plan touch more than 2048 rows.
+func TestRemoteFaultInJoinAnswers502(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20k document generation in -short mode")
+	}
+	set, _, err := shard.Split(generatedStore(t, 20_000), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shard 1 keeps answering meta and count requests, so planning
+	// still succeeds once its scans fail.
+	var scansDown atomic.Bool
+	var eps []string
+	for i := 0; i < 2; i++ {
+		mux := http.NewServeMux()
+		mux.Handle("/shard/", server.ShardHandler(set.Shard(i), i, 2))
+		h := http.Handler(mux)
+		if i == 1 {
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if scansDown.Load() && r.URL.Path == "/shard/scan" {
+					http.Error(w, "scans down", http.StatusServiceUnavailable)
+					return
+				}
+				mux.ServeHTTP(w, r)
+			})
+		}
+		ts := httptest.NewServer(h)
+		defer ts.Close()
+		eps = append(eps, ts.URL+"/sparql")
+	}
+	q5a, _ := queries.ByID("q5a")
+	coordinator := func() (*engine.Engine, string) {
+		rd, err := shard.OpenRemote(context.Background(), eps, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := engine.NewReader(rd, engine.Native())
+		h, err := server.New(server.Config{Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		return eng, ts.URL
+	}
+	post := func(url, query string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url, "application/sparql-query", strings.NewReader(query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+
+	_, healthy := coordinator()
+	if status, body := post(healthy, q5a.Text); status != http.StatusOK {
+		t.Fatalf("healthy cluster answered %d: %.200s", status, body)
+	}
+
+	eng, coord := coordinator()
+	plan, err := eng.Explain(q5a.Parse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, " nl ") || !strings.Contains(plan, "hashseg[") {
+		t.Fatalf("q5a plan lacks the nl probe or hashseg build this test needs:\n%s", plan)
+	}
+	scansDown.Store(true)
+	status, body := post(coord, q5a.Text)
+	if status != http.StatusBadGateway {
+		t.Fatalf("q5a with shard 1 down answered %d (%.200s), want 502", status, body)
+	}
+	if !strings.Contains(body, "shard 1") {
+		t.Fatalf("502 body does not name the failed shard: %.200s", body)
+	}
+
+	// A bound-subject lookup routes to the live shard 0 alone.
+	var sub rdf.Term
+	dict := set.Dict()
+	for _, row := range set.Shard(0).Triples() {
+		if t := dict.Term(row[0]); t.Kind == rdf.KindIRI {
+			sub = t
+			break
+		}
+	}
+	if status, body := post(coord, "SELECT ?p ?o WHERE { <"+sub.Value+"> ?p ?o }"); status != http.StatusOK {
+		t.Fatalf("routable query after the fault answered %d (%.200s), want 200", status, body)
 	}
 }

@@ -381,9 +381,8 @@ func (it *Iterator) Next() (EncTriple, bool) {
 // aliases the store's index — callers must not mutate it.
 //
 // An IndexRange is the unit the physical-operator layer of the query
-// engine works with: it can be iterated, partitioned into contiguous
-// sub-ranges for parallel scans, or merged against another range that is
-// sorted on the same component.
+// engine works with: it can be iterated or merged against another range
+// that is sorted on the same component.
 type IndexRange struct {
 	Ord  Order
 	Rows []EncTriple
@@ -449,28 +448,6 @@ func ordPos(ord Order, i int) int {
 	default: // OrderOSP
 		return [3]int{2, 0, 1}[i]
 	}
-}
-
-// Partition splits the range into at most parts contiguous sub-ranges of
-// near-equal row counts, preserving order: concatenating the partitions'
-// rows yields exactly the original range. Fewer than parts ranges are
-// returned when the range has fewer rows than parts.
-func (r IndexRange) Partition(parts int) []IndexRange {
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > len(r.Rows) {
-		parts = max(1, len(r.Rows))
-	}
-	out := make([]IndexRange, 0, parts)
-	for i := 0; i < parts; i++ {
-		lo := i * len(r.Rows) / parts
-		hi := (i + 1) * len(r.Rows) / parts
-		p := r
-		p.Rows = r.Rows[lo:hi]
-		out = append(out, p)
-	}
-	return out
 }
 
 // Range returns the index range matching the pattern under the index

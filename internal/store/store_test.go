@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -324,51 +323,6 @@ func TestEmptyStore(t *testing.T) {
 	}
 	if s.TotalDistinctSubjects() != 0 || s.TotalDistinctObjects() != 0 {
 		t.Fatal("empty store statistics should be zero")
-	}
-}
-
-func TestRangePartitionPreservesOrder(t *testing.T) {
-	s := New()
-	for i := 0; i < 97; i++ {
-		s.Add(rdf.NewTriple(
-			rdf.IRI(fmt.Sprintf("s%03d", i)),
-			rdf.IRI("p"),
-			rdf.IRI(fmt.Sprintf("o%03d", i%7)),
-		))
-	}
-	s.Freeze()
-	pid, _ := s.Dict().Lookup(rdf.IRI("p"))
-	full := s.Range(NoID, pid, NoID)
-	if len(full.Rows) != 97 {
-		t.Fatalf("range has %d rows, want 97", len(full.Rows))
-	}
-	for _, parts := range []int{1, 2, 3, 8, 96, 97, 200} {
-		ps := full.Partition(parts)
-		if parts <= 97 && len(ps) != parts {
-			t.Fatalf("Partition(%d) returned %d ranges", parts, len(ps))
-		}
-		var joined []EncTriple
-		for _, p := range ps {
-			if p.Ord != full.Ord || p.Lead != full.Lead || p.Filt != full.Filt {
-				t.Fatalf("Partition(%d) changed range metadata", parts)
-			}
-			joined = append(joined, p.Rows...)
-		}
-		if len(joined) != len(full.Rows) {
-			t.Fatalf("Partition(%d) covers %d rows, want %d", parts, len(joined), len(full.Rows))
-		}
-		for i := range joined {
-			if joined[i] != full.Rows[i] {
-				t.Fatalf("Partition(%d) reordered rows at %d", parts, i)
-			}
-		}
-	}
-	if got := full.Partition(0); len(got) != 1 {
-		t.Fatalf("Partition(0) should clamp to one range, got %d", len(got))
-	}
-	empty := IndexRange{}
-	if got := empty.Partition(4); len(got) != 1 || len(got[0].Rows) != 0 {
-		t.Fatalf("empty range partition = %v", got)
 	}
 }
 
