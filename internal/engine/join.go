@@ -108,18 +108,18 @@ type fastCmp struct {
 
 // sp2b:valuecmp implements FILTER comparison operators over slot pairs
 func (f fastCmp) eval(c *compiled, row []store.ID) bool {
-	return f.cmpIDs(c, row[f.l], row[f.r])
+	return f.cmpIDs(c.eng.src.TermDict(), row[f.l], row[f.r])
 }
 
 // cmpIDs is the comparison core shared by the per-row eval above and
-// the column kernels of the vectorized path (vec.go).
+// the column kernels of the vectorized path (vec.go), which resolve
+// dict once per batch rather than once per row.
 //
 // sp2b:valuecmp compares by term value, never by raw dictionary ID
-func (f fastCmp) cmpIDs(c *compiled, a, b store.ID) bool {
+func (f fastCmp) cmpIDs(dict store.TermSource, a, b store.ID) bool {
 	if a == store.NoID || b == store.NoID {
 		return false // unbound: the expression evaluator raises, FILTER rejects
 	}
-	dict := c.eng.src.TermDict()
 	switch f.op {
 	case sparql.OpEq, sparql.OpNeq:
 		// sp2b:idcmp=ok identical IDs are value-equal; only the not-equal branch falls through to EqualTerms
@@ -132,9 +132,19 @@ func (f fastCmp) cmpIDs(c *compiled, a, b store.ID) bool {
 		}
 		return eq == (f.op == sparql.OpEq)
 	default:
-		cmp, err := algebra.CompareTerms(dict.Term(a), dict.Term(b))
-		if err != nil {
-			return false
+		ta, tb := dict.Term(a), dict.Term(b)
+		var cmp int
+		if ta.Kind == rdf.KindLiteral && tb.Kind == rdf.KindLiteral &&
+			ta.Datatype == rdf.XSDString && tb.Datatype == rdf.XSDString {
+			// Two xsd:string literals: not numeric, both string-ish, so
+			// CompareTerms would compare the lexical forms. Do that
+			// without wrapping both terms in algebra.Value.
+			cmp = strings.Compare(ta.Value, tb.Value)
+		} else {
+			var err error
+			if cmp, err = algebra.CompareTerms(ta, tb); err != nil {
+				return false
+			}
 		}
 		switch f.op {
 		case sparql.OpLt:
@@ -589,12 +599,9 @@ func (c *compiled) buildSegPlan(steps []patternStep, patterns []sparql.TriplePat
 	seg := &segPlan{buildSlot: -1, probeSlot: -1}
 	for _, sp := range steps {
 		internal := sp
-		internal.filters = nil
-		for _, f := range sp.filters {
-			if allIn(sparql.ExprVars(f), segVars) {
-				internal.filters = append(internal.filters, f)
-				continue
-			}
+		var link []sparql.Expr
+		internal.filters, link = splitLinkFilters(sp.filters, segVars)
+		for _, f := range link {
 			if seg.buildSlot < 0 {
 				if ls, bs, ok := segEquiKey(f, bound, segVars); ok {
 					seg.probeSlot = c.slot(ls)
@@ -603,8 +610,8 @@ func (c *compiled) buildSegPlan(steps []patternStep, patterns []sparql.TriplePat
 					// by term identity, the filter is the semantic check.
 				}
 			}
-			seg.linkFilters = append(seg.linkFilters, f)
 		}
+		seg.linkFilters = append(seg.linkFilters, link...)
 		seg.steps = append(seg.steps, internal)
 	}
 	if seg.buildSlot < 0 && segCard > crossCacheCap {
@@ -619,6 +626,21 @@ func (c *compiled) buildSegPlan(steps []patternStep, patterns []sparql.TriplePat
 	}
 	sort.Ints(seg.slots)
 	return seg, true
+}
+
+// splitLinkFilters splits a block's filter conjuncts into internal ones,
+// whose variables all lie in the block and which can run while the block
+// is built, and link ones, which need bindings from outside it and run
+// on the merged rows.
+func splitLinkFilters(filters []sparql.Expr, blockVars map[string]bool) (internal, link []sparql.Expr) {
+	for _, f := range filters {
+		if allIn(sparql.ExprVars(f), blockVars) {
+			internal = append(internal, f)
+		} else {
+			link = append(link, f)
+		}
+	}
+	return internal, link
 }
 
 // segEquiKey recognizes `?left = ?seg` conjuncts usable as the block's

@@ -96,6 +96,45 @@ func TestGoldenPlans50k(t *testing.T) {
 	}
 }
 
+// TestGoldenVecPlans50k pins the vectorized planner's keyed block join
+// on the same 50k document: Q4's second article star meets the first on
+// ?journal alone, so it is built once as a block (whose own pipeline
+// again blocks the ?author2 star) instead of being re-derived for each
+// of the 6.4k left rows. Q5b keeps its pipelined plan at this scale: its
+// tail is estimated at 1.2k rows against a 6.8k-row block (the block
+// is chosen at 1M, where the left side outgrows it); the pin catches the
+// cost rule drifting either way.
+func TestGoldenVecPlans50k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("50k document generation in -short mode")
+	}
+	s, _ := generatedStore(t, 50_000)
+	eng := engine.New(s, engine.NativeVec())
+
+	golden := map[string][]string{
+		"q4": {
+			"vec operators: scan[POS rows=2407] nl hash[?article1 build=4241]" +
+				" hash[?article1 build=4239] block[?journal rows=6478]",
+			"vec block[?journal] operators: scan[POS rows=2407] block[?author2 rows=6830]",
+		},
+		"q5b": {
+			"vec operators: scan[POS rows=274] merge[?inproc SPO rows=50004] nl nl nl",
+		},
+	}
+	for id, wants := range golden {
+		q, _ := queries.ByID(id)
+		plan, err := eng.Explain(q.Parse())
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		for _, want := range wants {
+			if !strings.Contains(plan, want) {
+				t.Errorf("%s plan missing %q:\n%s", id, want, plan)
+			}
+		}
+	}
+}
+
 // TestOperatorChoicesAgreeOn17Queries is the physical-layer soundness
 // check: every operator configuration — nested-loop only, each operator
 // disabled in turn, everything on, and the vectorized variants — returns

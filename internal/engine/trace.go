@@ -54,6 +54,9 @@ type TraceNode struct {
 	// Batches is the number of batches a vectorized operator emitted
 	// (0 = tuple-at-a-time operator).
 	Batches int64 `json:"batches,omitempty"`
+	// BuildRows is the number of rows a materializing operator (the
+	// vectorized keyed block join) built.
+	BuildRows int64 `json:"build_rows,omitempty"`
 	// WallNS is inclusive wall time (children included).
 	WallNS int64 `json:"wall_ns"`
 	// Steps is the per-depth breakdown of a BGP operator.
@@ -110,6 +113,7 @@ type tnode struct {
 	est      float64
 	rows     atomic.Int64
 	batches  atomic.Int64
+	build    atomic.Int64
 	wall     atomic.Int64
 	steps    []*tstep
 	children []*tnode
@@ -246,12 +250,13 @@ func (tc *traceCollector) snapshot() *Trace {
 
 func snapshotNode(n *tnode) *TraceNode {
 	out := &TraceNode{
-		Op:      n.op,
-		Detail:  n.detail,
-		EstRows: n.est,
-		Rows:    n.rows.Load(),
-		Batches: n.batches.Load(),
-		WallNS:  n.wall.Load(),
+		Op:        n.op,
+		Detail:    n.detail,
+		EstRows:   n.est,
+		Rows:      n.rows.Load(),
+		Batches:   n.batches.Load(),
+		BuildRows: n.build.Load(),
+		WallNS:    n.wall.Load(),
 	}
 	for _, s := range n.steps {
 		out.Steps = append(out.Steps, TraceStep{
@@ -341,6 +346,9 @@ func (t *Trace) Render(w io.Writer) {
 		}
 		if n.Batches > 0 {
 			fmt.Fprintf(w, " batches=%d", n.Batches)
+		}
+		if n.BuildRows > 0 {
+			fmt.Fprintf(w, " build=%d", n.BuildRows)
 		}
 		fmt.Fprintf(w, " wall=%v", time.Duration(n.WallNS).Round(time.Microsecond))
 		fmt.Fprintln(w)

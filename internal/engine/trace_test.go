@@ -65,6 +65,7 @@ func TestAnalyzeTraceVectorized(t *testing.T) {
 			t.Errorf("%s: root rows %d != result count %d", id, tr.Rows, n)
 		}
 		vectorized := false
+		var block *engine.TraceNode
 		var walk func(tn *engine.TraceNode)
 		walk = func(tn *engine.TraceNode) {
 			if tn.Detail == "vectorized" {
@@ -72,6 +73,9 @@ func TestAnalyzeTraceVectorized(t *testing.T) {
 				if tn.Rows > 0 && tn.Batches == 0 {
 					t.Errorf("%s: %s rows=%d but batches=0", id, tn.Op, tn.Rows)
 				}
+			}
+			if tn.Op == "block" && block == nil {
+				block = tn
 			}
 			for _, c := range tn.Children {
 				walk(c)
@@ -81,6 +85,16 @@ func TestAnalyzeTraceVectorized(t *testing.T) {
 		if !vectorized {
 			t.Errorf("%s: expected a vectorized trace, got op %q detail %q",
 				id, tr.Root.Op, tr.Root.Detail)
+		}
+		// Q4's second article star is the keyed block join on ?journal:
+		// its own node, which emitted batches and built the block.
+		if id == "q4" {
+			switch {
+			case block == nil:
+				t.Errorf("q4: no block node in the trace:\n%s", tr)
+			case block.Detail != "vectorized key=?journal" || block.Batches == 0 || block.BuildRows == 0:
+				t.Errorf("q4: block node %q batches=%d build=%d", block.Detail, block.Batches, block.BuildRows)
+			}
 		}
 		if n > 0 && tr.Root.Batches == 0 {
 			t.Errorf("%s: root emitted %d rows in 0 batches", id, n)

@@ -92,10 +92,10 @@ func childTNodes(children ...vecOp) []*tnode {
 func (c *compiled) buildVecNode(n algebra.Node) (vecOp, string) {
 	switch node := n.(type) {
 	case *algebra.BGPNode:
-		return c.buildVecBGP(node.Patterns, nil)
+		return c.buildVecBGP(node.Patterns, nil, "vec operators:")
 	case *algebra.FilterNode:
 		if bgp, ok := node.Input.(*algebra.BGPNode); ok && c.eng.opts.PushFilters {
-			return c.buildVecBGP(bgp.Patterns, algebra.SplitConjuncts(node.Cond))
+			return c.buildVecBGP(bgp.Patterns, algebra.SplitConjuncts(node.Cond), "vec operators:")
 		}
 		if lj, ok := node.Input.(*algebra.LeftJoinNode); ok {
 			if op, handled, why := c.buildVecAntiJoin(node, lj); handled {
@@ -169,8 +169,9 @@ type compBind struct {
 // buildVecBGP compiles a BGP into a scan → join-stage pipeline using
 // the same preparation (reordering, filter placement) and join-operator
 // selection (mergeStep/hashStep, with the tuple layer's thresholds) as
-// planBGP.
-func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr) (vecOp, string) {
+// planBGP, plus the keyed block join (block.go), which the tuple layer
+// lacks. label heads the pipeline's Explain note.
+func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []sparql.Expr, label string) (vecOp, string) {
 	opts := c.eng.opts
 	if !opts.UseIndexes {
 		return nil, "no index access path"
@@ -195,11 +196,10 @@ func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []spar
 	bound := map[string]bool{}
 	boundSlots := map[int]bool{}
 	leftCard := 1.0
-	sortSlot := -1
 	var pipe vecOp
 	var tsteps []*tstep
 	var desc strings.Builder
-	desc.WriteString("vec operators:")
+	desc.WriteString(label)
 
 	traceStep := func(op, pattern string, est float64) *tstep {
 		if c.trace == nil {
@@ -210,21 +210,33 @@ func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []spar
 		return ts
 	}
 
+	// The anchor's range fixes the stream's sort order, which the block
+	// choice needs before the loop reaches it.
+	rng0 := st.Range(constWant(b.steps[0]).Spread())
+	sortSlot := leadVarSlot(b.steps[0], rng0)
+	cards := c.cardChain(ordered)
+	blk := c.chooseBlock(b.steps, ordered, cards, sortSlot)
 	for i, step := range b.steps {
 		p := ordered[i]
 		if i == 0 {
-			rng := st.Range(constWant(step).Spread())
-			scan := &vecScan{c: c, rng: rng}
+			scan := &vecScan{c: c, rng: rng0}
 			scan.configure(step)
 			scan.fast, scan.slow = c.compileFilters(step.filters)
-			sortSlot = leadVarSlot(step, rng)
-			leftCard = max(1, c.estimate(p, bound))
+			leftCard = cards[0]
 			scan.ts = traceStep(opScan.String(), p.String(), leftCard)
-			fmt.Fprintf(&desc, " scan[%s rows=%d]", rng.Ord, len(rng.Rows))
+			fmt.Fprintf(&desc, " scan[%s rows=%d]", rng0.Ord, len(rng0.Rows))
 			pipe = scan
 			addVars(bound, p)
 			addStepSlots(boundSlots, step)
 			continue
+		}
+		if i == blk.start {
+			if op := c.buildVecBlock(pipe, b.steps[i:], ordered[i:], blk, boundSlots); op != nil {
+				pipe = op
+				leftCard = blk.out
+				fmt.Fprintf(&desc, " block[?%s rows=%.0f]", blk.key, blk.est)
+				break
+			}
 		}
 		shared := sharedBoundVars(p, bound)
 		if len(shared) == 0 && len(p.Vars()) > 0 && len(bound) > 0 {
@@ -232,7 +244,6 @@ func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []spar
 			// keyed segment (opHashSeg); the batch path doesn't yet.
 			return nil, "disconnected block"
 		}
-		est := c.estimate(p, bound)
 		ps := physStep{kind: opNL, step: step}
 		if opts.MergeJoins && len(shared) == 1 {
 			if ms, ok := c.mergeStep(step, shared[0], sortSlot); ok {
@@ -250,7 +261,7 @@ func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []spar
 		}
 		j.configure(boundSlots)
 		j.fast, j.slow = c.compileFilters(step.filters)
-		leftCard *= max(1, est)
+		leftCard = cards[i]
 		j.ts = traceStep(ps.kind.String(), p.String(), leftCard)
 		switch ps.kind {
 		case opMerge:
@@ -265,7 +276,7 @@ func (c *compiled) buildVecBGP(patterns []sparql.TriplePattern, conjuncts []spar
 		addStepSlots(boundSlots, step)
 	}
 	c.notes = append(c.notes, desc.String())
-	n := &tnode{op: "bgp", detail: "vectorized", est: leftCard, steps: tsteps}
+	n := &tnode{op: "bgp", detail: "vectorized", est: leftCard, steps: tsteps, children: childTNodes(pipe)}
 	return c.vwrap(pipe, n), ""
 }
 
@@ -313,11 +324,12 @@ func applyVecFilters(c *compiled, b *Batch, fast []fastCmp, slow []sparql.Expr, 
 //
 // sp2b:valuecmp column kernels delegate to cmpIDs (value comparison)
 func (f fastCmp) kernel(c *compiled, b *Batch, selbuf *[]int32) {
+	dict := c.eng.src.TermDict()
 	lc, rc := b.cols[f.l], b.cols[f.r]
 	if b.sel == nil {
 		sel := emptySel(*selbuf)
 		for r := 0; r < b.n; r++ {
-			if f.cmpIDs(c, lc[r], rc[r]) {
+			if f.cmpIDs(dict, lc[r], rc[r]) {
 				sel = append(sel, int32(r))
 			}
 		}
@@ -328,7 +340,7 @@ func (f fastCmp) kernel(c *compiled, b *Batch, selbuf *[]int32) {
 	// In-place narrowing: writes trail reads because sel is ascending.
 	sel := b.sel[:0]
 	for _, r := range b.sel {
-		if f.cmpIDs(c, lc[r], rc[r]) {
+		if f.cmpIDs(dict, lc[r], rc[r]) {
 			sel = append(sel, r)
 		}
 	}
